@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for the design choices internal/README.md describes: the
 // allreduce algorithm, the LARS trust coefficient, warmup, LARC clipping,
 // gradient compression, and worker-count speedup. Each reports its effect
 // as custom metrics rather than asserting (they are studies, not tests; the

@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index). Benchmarks involving
+// evaluation (EXPERIMENTS.md has one section per exhibit). Benchmarks involving
 // real training use a reduced configuration so the full suite stays within
 // minutes; cmd/experiments runs the full-fidelity versions that populate
 // EXPERIMENTS.md. Custom metrics are attached via b.ReportMetric: accuracies

@@ -291,6 +291,9 @@ func main() {
 	default:
 		log.Fatalf("unknown method %q", *method)
 	}
+	if *workers < 1 {
+		log.Fatalf("-workers %d must be >= 1", *workers)
+	}
 
 	synCfg := data.DefaultSynthConfig()
 	synCfg.TrainSize = *trainSize

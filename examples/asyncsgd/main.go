@@ -11,16 +11,19 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/async"
 	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/models"
+	"repro/internal/nn"
 )
 
 func main() {
-	cfg := repro.DefaultSynthConfig()
+	cfg := data.DefaultSynthConfig()
 	cfg.TrainSize, cfg.H, cfg.W, cfg.Classes = 512, 8, 8, 4
-	ds := repro.GenerateSynth(cfg)
-	mlp := repro.MicroAlexNetFactory(repro.MicroConfig{Classes: 4, InH: 8, Width: 4})
+	ds := data.GenerateSynth(cfg)
+	mc := models.MicroConfig{Classes: 4, InH: 8, Width: 4}
+	mlp := func(seed uint64) *nn.Network { c := mc; c.Seed = seed; return models.NewMicroAlexNet(c) }
 
 	const lr, batch = 0.2, 32
 	const updates = 160 // = 10 epochs of 512 examples at batch 32

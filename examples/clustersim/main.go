@@ -9,37 +9,39 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/dist"
+	"repro/internal/models"
 )
 
 func main() {
-	resnet := repro.ResNet50Spec()
-	alexBN := repro.AlexNetBNSpec()
+	resnet := models.ResNet50Spec()
+	alexBN := models.AlexNetBNSpec()
 	const imagenet = 1280000
 
 	fmt.Println("== The paper's ResNet-50 timeline (90 epochs of ImageNet) ==")
 	steps := []struct {
 		label string
-		c     repro.ClusterConfig
+		c     cluster.Cluster
 		batch int
 		paper string
 	}{
-		{"1x M40 (the 14-day baseline)", repro.ClusterConfig{Machine: repro.TeslaM40, Count: 1, Network: repro.KNLCluster(1).Network, Algo: repro.Ring}, 256, "14 days"},
-		{"DGX-1 station (8x P100)", repro.DGX1(), 256, "21h"},
-		{"Facebook: 256x P100", repro.ClusterConfig{Machine: repro.TeslaP100, Count: 256, Network: repro.DGX1().Network, Algo: repro.Ring}, 8192, "1h"},
-		{"512x KNL, B=32K (LARS)", repro.KNLCluster(512), 32768, "1h"},
-		{"1024x CPU, B=32K (LARS)", repro.CPUCluster(1024), 32768, "48m"},
-		{"2048x KNL, B=32K (LARS)", repro.KNLCluster(2048), 32768, "20m"},
+		{"1x M40 (the 14-day baseline)", cluster.Cluster{Machine: cluster.TeslaM40, Count: 1, Network: cluster.KNLCluster(1).Network, Algo: dist.Ring}, 256, "14 days"},
+		{"DGX-1 station (8x P100)", cluster.DGX1(), 256, "21h"},
+		{"Facebook: 256x P100", cluster.Cluster{Machine: cluster.TeslaP100, Count: 256, Network: cluster.DGX1().Network, Algo: dist.Ring}, 8192, "1h"},
+		{"512x KNL, B=32K (LARS)", cluster.KNLCluster(512), 32768, "1h"},
+		{"1024x CPU, B=32K (LARS)", cluster.CPUCluster(1024), 32768, "48m"},
+		{"2048x KNL, B=32K (LARS)", cluster.KNLCluster(2048), 32768, "20m"},
 	}
 	for _, s := range steps {
-		est := repro.Simulate(s.c, resnet, s.batch, 90, imagenet)
+		est := cluster.Simulate(s.c, resnet, s.batch, 90, imagenet)
 		fmt.Printf("  %-32s B=%-6d sim %-9s (paper: %s)\n", s.label, s.batch, est.Duration().Round(1e9), s.paper)
 	}
 
 	fmt.Println("\n== Why the batch size must grow with the machine ==")
 	for _, nodes := range []int{128, 512, 2048} {
-		small := repro.Simulate(repro.KNLCluster(nodes), resnet, 2048, 90, imagenet)
-		large := repro.Simulate(repro.KNLCluster(nodes), resnet, 32768, 90, imagenet)
+		small := cluster.Simulate(cluster.KNLCluster(nodes), resnet, 2048, 90, imagenet)
+		large := cluster.Simulate(cluster.KNLCluster(nodes), resnet, 32768, 90, imagenet)
 		fmt.Printf("  %4d KNLs: B=2048 -> %-9s  B=32768 -> %-9s\n",
 			nodes, small.Duration().Round(1e9), large.Duration().Round(1e9))
 	}
@@ -47,8 +49,8 @@ func main() {
 	fmt.Println("   the devices idle and the allreduce exposed)")
 
 	fmt.Println("\n== AlexNet vs ResNet-50 weak scaling (512 nodes, B=32K) ==")
-	a := repro.Simulate(repro.KNLCluster(512), alexBN, 32768, 100, imagenet)
-	r := repro.Simulate(repro.KNLCluster(512), resnet, 32768, 90, imagenet)
+	a := cluster.Simulate(cluster.KNLCluster(512), alexBN, 32768, 100, imagenet)
+	r := cluster.Simulate(cluster.KNLCluster(512), resnet, 32768, 90, imagenet)
 	fmt.Printf("  AlexNet-BN:  comm %4.1f%% of each iteration (scaling ratio %.1f)\n",
 		100*a.CommSec/(a.CompSec+a.CommSec), alexBN.ScalingRatio())
 	fmt.Printf("  ResNet-50:   comm %4.1f%% of each iteration (scaling ratio %.1f)\n",

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/data"
@@ -30,7 +29,7 @@ func seq(n int) []int {
 }
 
 func main() {
-	resnet := repro.ResNet50Spec()
+	resnet := models.ResNet50Spec()
 	const imagenet, epochs = 1280000, 90
 
 	fmt.Println("== Figures 8-10: larger batches communicate less (fixed epochs) ==")
@@ -75,12 +74,13 @@ func main() {
 	// Drive the full synchronous engine — shard forward/backward, bucketed
 	// gradient allreduce, weight broadcast — and report the per-step
 	// counters next to the analytic schedule and its alpha-beta price.
-	ds := repro.GenerateSynth(data.SynthConfig{
+	ds := data.GenerateSynth(data.SynthConfig{
 		Classes: 8, TrainSize: 256, TestSize: 64, C: 3, H: 16, W: 16,
 		Noise: 0.3, MaxShift: 2, Flip: true, Seed: 11,
 	})
 	x, labels := ds.Train.MustGather(seq(64))
-	factory := repro.MicroAlexNetFactory(models.MicroConfig{Classes: 8, InH: 16, Width: 8})
+	mc := models.MicroConfig{Classes: 8, InH: 16, Width: 8}
+	factory := func(seed uint64) *nn.Network { c := mc; c.Seed = seed; return models.NewMicroAlexNet(c) }
 	fmt.Printf("  %-8s %-28s %-28s %s\n", "algo", "grad reduce (msgs/MB/rounds)", "weight bcast (msgs/MB/rounds)", "FDR time/step")
 	for _, algo := range []dist.Algorithm{dist.Central, dist.Tree, dist.Ring} {
 		replicas := make([]*nn.Network, 4)

@@ -13,19 +13,23 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/models"
+	"repro/internal/nn"
 )
 
 func main() {
-	cfg := repro.DefaultSynthConfig()
+	cfg := data.DefaultSynthConfig()
 	cfg.TrainSize, cfg.H, cfg.W = 2048, 16, 16
-	ds := repro.GenerateSynth(cfg)
-	factory := repro.MicroAlexNetFactory(repro.MicroConfig{Classes: 8, InH: 16, Width: 8})
+	ds := data.GenerateSynth(cfg)
+	mc := models.MicroConfig{Classes: 8, InH: 16, Width: 8}
+	factory := func(seed uint64) *nn.Network { c := mc; c.Seed = seed; return models.NewMicroAlexNet(c) }
 
 	const epochs = 20 // the fixed budget every run shares
 
-	run := func(method repro.Method, batch int, warmup float64, trust float64) float64 {
-		res, err := repro.Train(repro.TrainConfig{
+	run := func(method core.Method, batch int, warmup float64, trust float64) float64 {
+		res, err := core.Train(core.Config{
 			Model: factory, Workers: 2,
 			Batch: batch, Epochs: epochs,
 			Method: method, BaseLR: 0.05, BaseBatch: 32,
@@ -37,7 +41,7 @@ func main() {
 		return res.TestAcc
 	}
 
-	baseline := run(repro.BaselineSGD, 32, 0, 0)
+	baseline := run(core.BaselineSGD, 32, 0, 0)
 	fmt.Printf("baseline  B=32    acc %.3f  (every run below gets the same %d epochs)\n\n", baseline, epochs)
 
 	fmt.Printf("%-8s %-14s %-14s\n", "batch", "linear+warmup", "LARS+warmup")
@@ -47,8 +51,8 @@ func main() {
 		if b >= 2048 {
 			warmup, trust = 12, 0.03
 		}
-		lin := run(repro.LinearScalingWarmup, b, warmup, 0)
-		lars := run(repro.LARSWarmup, b, warmup, trust)
+		lin := run(core.LinearScalingWarmup, b, warmup, 0)
+		lars := run(core.LARSWarmup, b, warmup, trust)
 		marker := ""
 		if lars-lin > 0.2 {
 			marker = "  <- LARS rescues the large batch"

@@ -1,6 +1,6 @@
 // Quickstart: train a small convnet on the synthetic ImageNet substitute
 // with the paper's recipe (LARS + warmup + poly decay) at a large batch
-// size, using the public repro API.
+// size, driving internal/core directly.
 //
 //	go run ./examples/quickstart
 package main
@@ -9,25 +9,29 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/models"
+	"repro/internal/nn"
 )
 
 func main() {
 	// 1. A deterministic synthetic dataset: 8 classes of 24x24 RGB images.
-	cfg := repro.DefaultSynthConfig()
+	cfg := data.DefaultSynthConfig()
 	cfg.TrainSize, cfg.H, cfg.W = 2048, 16, 16
-	ds := repro.GenerateSynth(cfg)
+	ds := data.GenerateSynth(cfg)
 	fmt.Printf("dataset: %d train / %d test images, %d classes\n",
 		ds.Train.Len(), ds.Test.Len(), ds.Train.Classes)
 
 	// 2. Train micro-AlexNet at batch 512 (a quarter of the dataset) with
 	//    LARS + 5-epoch warmup across 2 data-parallel workers.
-	res, err := repro.Train(repro.TrainConfig{
-		Model:        repro.MicroAlexNetFactory(repro.MicroConfig{Classes: 8, InH: 16, Width: 8}),
+	mc := models.MicroConfig{Classes: 8, InH: 16, Width: 8}
+	res, err := core.Train(core.Config{
+		Model:        func(seed uint64) *nn.Network { c := mc; c.Seed = seed; return models.NewMicroAlexNet(c) },
 		Workers:      2,
 		Batch:        512,
 		Epochs:       15,
-		Method:       repro.LARSWarmup,
+		Method:       core.LARSWarmup,
 		BaseLR:       0.05,
 		BaseBatch:    32,
 		WarmupEpochs: 5,

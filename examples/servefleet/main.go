@@ -12,19 +12,22 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/comm"
+	"repro/internal/models"
+	"repro/internal/serve"
 )
 
 func main() {
-	svc := repro.ServiceModel{Base: 100, PerImage: 25}
+	svc := serve.ServiceModel{Base: 100, PerImage: 25}
 
 	// 1. The batch-window tradeoff at a fixed offered rate: widening
 	// MaxDelay grows the steady batch, amortizing the per-batch cost —
 	// throughput per replica climbs while p99 pays the wait.
 	fmt.Println("batch window vs latency at 10k req/s (gap 100µs), S(b) = 100 + 25b µs:")
-	for _, d := range []repro.Ticks{0, 200, 500, 1000, 2000} {
-		cfg := repro.ServeConfig{MaxBatch: 32, MaxDelay: d, Replicas: 1, Service: svc}
-		rep, err := repro.ServeSimulate(cfg, repro.UniformServeTrace(4000, 100, 8))
+	for _, d := range []serve.Ticks{0, 200, 500, 1000, 2000} {
+		cfg := serve.Config{MaxBatch: 32, MaxDelay: d, Replicas: 1, Service: svc}
+		rep, err := serve.Simulate(cfg, serve.UniformTrace(4000, 100, 8))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -33,7 +36,7 @@ func main() {
 		// gap saturates the replica, and the closed form refuses the
 		// regime — the whole reason the batching window exists.
 		model := "DRIFT"
-		if want, err := repro.ExpectedServeStats(cfg, 4000, 100); err != nil {
+		if want, err := comm.ExpectedServeStats(cfg, 4000, 100); err != nil {
 			model = "n/a (saturated)"
 		} else if s.Equal(want) {
 			model = "exact"
@@ -44,10 +47,10 @@ func main() {
 
 	// 2. Fleet sizing from the same closed form: replicas a P100 needs for
 	// the micro AlexNet at growing offered rates, p99 target 2ms.
-	spec := repro.MicroAlexNetSpec(repro.MicroConfig{Classes: 8, InH: 24, Width: 8})
+	spec := models.MicroAlexNetSpec(models.MicroConfig{Classes: 8, InH: 24, Width: 8})
 	fmt.Println("\nP100 fleet sizing for micro-alexnet, window K=16 D=800µs, p99 target 2ms:")
 	for _, rate := range []float64{10_000, 100_000, 1_000_000} {
-		est, err := repro.SimulateServe(repro.TeslaP100, spec, rate, 16, 800, 2000)
+		est, err := cluster.SimulateServe(cluster.TeslaP100, spec, rate, 16, 800, 2000)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,10 +60,10 @@ func main() {
 	// 3. Overload: a burst beyond the waiting room is shed with the typed
 	// rejection; a second replica drains faster and admits more.
 	fmt.Println("\noverload: bursts of 64 at 100k req/s into a 32-slot queue:")
-	trace := repro.BurstyServeTrace(4000, 64, 10, 10000, 8, 1)
+	trace := serve.BurstyTrace(4000, 64, 10, 10000, 8, 1)
 	for _, r := range []int{1, 2} {
-		cfg := repro.ServeConfig{MaxBatch: 8, MaxDelay: 2000, QueueCap: 32, Replicas: r, Service: svc}
-		rep, err := repro.ServeSimulate(cfg, trace)
+		cfg := serve.Config{MaxBatch: 8, MaxDelay: 2000, QueueCap: 32, Replicas: r, Service: svc}
+		rep, err := serve.Simulate(cfg, trace)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,6 +50,9 @@ const (
 	version = 1
 )
 
+// readChunk is how many raw section bytes Read decodes at a time.
+const readChunk = 64 << 10
+
 // Section is one named float32 tensor in a checkpoint.
 type Section struct {
 	Name string
@@ -245,6 +248,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if count > maxSections {
 		return nil, fmt.Errorf("checkpoint: implausible section count %d", count)
 	}
+	raw := make([]byte, readChunk)
 	for i := uint32(0); i < count; i++ {
 		nameLen, err := readU32()
 		if err != nil {
@@ -261,13 +265,18 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		data := make([]float32, n)
-		raw := make([]byte, 4*int(n))
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, err
-		}
-		for j := range data {
-			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
+		// The header's n is untrusted: read in bounded chunks so memory
+		// grows with the bytes the stream actually supplies, not with n.
+		data := make([]float32, 0, min(int(n), readChunk/4))
+		for rem := int(n); rem > 0; {
+			k := min(rem, readChunk/4)
+			if _, err := io.ReadFull(br, raw[:4*k]); err != nil {
+				return nil, fmt.Errorf("checkpoint: section %q: %w", name, err)
+			}
+			for j := 0; j < k; j++ {
+				data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:])))
+			}
+			rem -= k
 		}
 		c.Add(string(name), data)
 	}

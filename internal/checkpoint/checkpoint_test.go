@@ -2,8 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,6 +93,32 @@ func TestTruncatedRejected(t *testing.T) {
 		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestHugeSectionLengthBoundedAlloc feeds a 28-byte header that claims a
+// 2^28-element section and supplies no data: Read must fail on the missing
+// bytes without first allocating what the header asked for (2 GiB).
+func TestHugeSectionLengthBoundedAlloc(t *testing.T) {
+	var hdr []byte
+	hdr = binary.LittleEndian.AppendUint32(hdr, magic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, version)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // step
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1) // one section
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0) // empty name
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1<<28)
+	if len(hdr) != 28 {
+		t.Fatalf("header is %d bytes, want 28", len(hdr))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("section with no data accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("Read allocated %d bytes for a 28-byte input, want < 1 MiB", d)
 	}
 }
 

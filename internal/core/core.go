@@ -313,14 +313,50 @@ type Result struct {
 	Scale opt.ScaleStats
 }
 
+// ConfigError is the typed error Train returns for a Config field whose
+// value has no meaning (a negative epoch budget, batch, worker count or
+// bucket size), before any replica is built.
+type ConfigError struct {
+	Field string
+	Value int
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("core: invalid Config.%s %d", e.Field, e.Value)
+}
+
+// validate rejects meaningless fields of a defaulted config.
+func (c Config) validate() error {
+	switch {
+	case c.Epochs < 1:
+		return &ConfigError{"Epochs", c.Epochs}
+	case c.Batch < 1:
+		return &ConfigError{"Batch", c.Batch}
+	case c.Workers < 0:
+		return &ConfigError{"Workers", c.Workers}
+	case c.Bucket < 0:
+		return &ConfigError{"Bucket", c.Bucket}
+	}
+	return nil
+}
+
 // Train runs the configured recipe on the dataset and returns the result.
-// It only returns an error for infrastructure failures (worker panics);
-// divergence is reported in Result.Diverged, matching how the paper reports
-// diverged runs as 0.1%-accuracy rows rather than aborted experiments.
+// It returns an error for a meaningless config (see ConfigError), a batch
+// larger than the training set, and infrastructure failures (worker
+// panics); divergence is reported in Result.Diverged, matching how the
+// paper reports diverged runs as 0.1%-accuracy rows rather than aborted
+// experiments.
 func Train(cfg Config, ds *data.Synth) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Model == nil {
 		panic("core: Config.Model is required")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	stepsPerEpoch := len(data.Batches(make([]int, ds.Train.Len()), cfg.Batch))
+	if stepsPerEpoch == 0 {
+		return nil, fmt.Errorf("core: batch %d exceeds training set %d", cfg.Batch, ds.Train.Len())
 	}
 	local := cfg.SyncEvery > 1
 	if local {
@@ -374,10 +410,6 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		optimizer = newStepper(engine.Master().Params())
 	}
 
-	stepsPerEpoch := len(data.Batches(make([]int, ds.Train.Len()), cfg.Batch))
-	if stepsPerEpoch == 0 {
-		return nil, fmt.Errorf("core: batch %d exceeds training set %d", cfg.Batch, ds.Train.Len())
-	}
 	totalSteps := stepsPerEpoch * cfg.Epochs
 	var sched opt.Schedule = opt.Poly{Base: cfg.TargetLR(), Power: cfg.PolyPower}
 	if cfg.Method != BaselineSGD && cfg.WarmupEpochs > 0 {

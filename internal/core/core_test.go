@@ -50,6 +50,34 @@ func TestTrainBaselineLearns(t *testing.T) {
 	}
 }
 
+func TestTrainRejectsMeaninglessConfig(t *testing.T) {
+	ds := tinyDataset()
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+		value int
+	}{
+		{"Epochs", Config{Epochs: -1}, -1},
+		{"Batch", Config{Batch: -32}, -32},
+		{"Workers", Config{Workers: -2}, -2},
+		{"Bucket", Config{Bucket: -1}, -1},
+	} {
+		built := 0
+		tc.cfg.Model = func(seed uint64) *nn.Network {
+			built++
+			return mlpFactory(4)(seed)
+		}
+		_, err := Train(tc.cfg, ds)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field || ce.Value != tc.value {
+			t.Fatalf("%s: err = %v, want *ConfigError{%s, %d}", tc.field, err, tc.field, tc.value)
+		}
+		if built != 0 {
+			t.Fatalf("%s: %d replicas built before the config was rejected", tc.field, built)
+		}
+	}
+}
+
 func TestTrainDeterministic(t *testing.T) {
 	ds := tinyDataset()
 	cfg := Config{Model: mlpFactory(4), Batch: 64, Epochs: 3, Method: LARSWarmup,

@@ -5,8 +5,8 @@
 // shuffling, and the worker sharding used by data-parallel training.
 //
 // ImageNet-1k itself (1.28M images) is not redistributable and far exceeds
-// this environment; SynthImageNet is the substitution documented in
-// DESIGN.md. It preserves what the paper's optimization experiments need:
+// a laptop-scale run; SynthImageNet is the substitution documented in
+// internal/README.md. It preserves what the paper's optimization experiments need:
 // a multi-class vision-like task where (a) small-batch SGD reaches high
 // accuracy in a fixed epoch budget, (b) naive large-batch training
 // underperforms at equal epochs, and (c) translation/flip augmentation
