@@ -372,6 +372,9 @@ func main() {
 	if *lossScale != 0 && prec != tensor.F16 {
 		log.Fatal("-loss-scale needs -precision f16")
 	}
+	if *lossScale > 0 && *syncEvery > 1 {
+		log.Fatal("-loss-scale is incompatible with -sync-every > 1 (local SGD trains f16 unscaled)")
+	}
 
 	var sched *data.ResolutionSchedule
 	if *resolutions != "" {

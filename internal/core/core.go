@@ -478,6 +478,37 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		return total, nil
 	}
 
+	// Every step runs forward (the batch loss; synchronously also the
+	// master gradient), then the loop checks divergence, then apply commits
+	// the step — so a diverged step never reaches the optimizer or the
+	// broadcast. In local mode LocalStep does all of it: shard gradients
+	// stay on their workers, each steps its private optimizer, and the
+	// engine averages weights at window boundaries.
+	forward := func(x *tensor.Tensor, labels []int, lr float64) (float64, error) {
+		return engine.LocalStep(x, labels, lr)
+	}
+	apply := func(lr float64) error { return nil }
+	if !local {
+		forward = func(x *tensor.Tensor, labels []int, _ float64) (float64, error) {
+			if scaler != nil {
+				engine.SetLossScale(scaler.Scale())
+			}
+			return computeBatchGradient(x, labels)
+		}
+		apply = func(lr float64) error {
+			if scaler != nil && !scaler.Update(masterParams) {
+				// Overflowed gradients: skip the optimizer step and the
+				// weight broadcast (weights are unchanged, so the replicas
+				// are still in sync) and retry at the halved scale. The
+				// schedule still advances — a skipped step consumes its
+				// slot, as on real mixed-precision trainers.
+				return nil
+			}
+			optimizer.Step(lr)
+			return engine.BroadcastWeights()
+		}
+	}
+
 	res := &Result{Config: cfg, TestAcc: math.NaN()}
 	_, nativeH, nativeW := ds.Train.ImageShape()
 	step := 0
@@ -501,56 +532,20 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 			if aug != nil {
 				aug.Apply(x)
 			}
-			var loss float64
-			if local {
-				// One local-SGD step: shard gradients stay on their
-				// workers, each steps its private optimizer, and the
-				// engine averages weights at window boundaries.
-				loss, err = engine.LocalStep(x, labels, sched.LR(step, totalSteps))
-				if err != nil {
-					return nil, err
-				}
-				if math.IsNaN(loss) || math.IsInf(loss, 0) || loss > cfg.MaxLoss {
-					res.Diverged = true
-					epochLoss += loss
-					epochSteps++
-					break
-				}
-				epochLoss += loss
-				epochSteps++
-				step++
-				continue
-			}
-			if scaler != nil {
-				engine.SetLossScale(scaler.Scale())
-			}
-			loss, err = computeBatchGradient(x, labels)
+			lr := sched.LR(step, totalSteps)
+			loss, err := forward(x, labels, lr)
 			if err != nil {
-				return nil, err
-			}
-			if math.IsNaN(loss) || math.IsInf(loss, 0) || loss > cfg.MaxLoss {
-				res.Diverged = true
-				epochLoss += loss
-				epochSteps++
-				break
-			}
-			if scaler != nil && !scaler.Update(masterParams) {
-				// Overflowed gradients: skip the optimizer step and the
-				// weight broadcast (weights are unchanged, so the replicas
-				// are still in sync) and retry at the halved scale. The
-				// schedule still advances — a skipped step consumes its
-				// slot, as on real mixed-precision trainers.
-				epochLoss += loss
-				epochSteps++
-				step++
-				continue
-			}
-			optimizer.Step(sched.LR(step, totalSteps))
-			if err := engine.BroadcastWeights(); err != nil {
 				return nil, err
 			}
 			epochLoss += loss
 			epochSteps++
+			if math.IsNaN(loss) || math.IsInf(loss, 0) || loss > cfg.MaxLoss {
+				res.Diverged = true
+				break
+			}
+			if err := apply(lr); err != nil {
+				return nil, err
+			}
 			step++
 		}
 		stats := EpochStats{
@@ -563,15 +558,7 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		}
 		last := epoch == cfg.Epochs-1 || res.Diverged
 		if last || epoch%cfg.EvalEveryEpochs == 0 {
-			// Local mode pins evaluation to one live replica: between
-			// sync boundaries the replicas legitimately disagree.
-			var acc float64
-			var err error
-			if local {
-				acc, err = engine.EvalAccuracyLocal(ds.Test.Images, ds.Test.Labels, 256)
-			} else {
-				acc, err = engine.EvalAccuracy(ds.Test.Images, ds.Test.Labels, 256)
-			}
+			acc, err := engine.EvalAccuracy(ds.Test.Images, ds.Test.Labels, 256)
 			if err != nil {
 				return nil, err
 			}

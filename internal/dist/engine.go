@@ -179,30 +179,39 @@ type Engine struct {
 	evalOK []int       // per worker: correct predictions of the last eval
 
 	// Local-SGD machinery (see Config.SyncEvery). localSteppers holds one
-	// optimizer per replica, stepped by the worker goroutines inside
-	// jobLocal; localBuf is per-worker flat scratch, holding the locally
+	// optimizer per replica, stepped by the worker goroutines at the tail of
+	// a jobLocal; localBuf is per-worker flat scratch, holding the locally
 	// reduced gradient during the step and the flattened weights at sync
-	// boundaries; localsgd counts local steps and averaging rounds.
+	// boundaries.
 	localSteppers []Stepper
 	localBuf      [][]float32
-	localsgd      LocalSGDStats
-	lastLocal     LocalSGDStats
 
-	reduced        []float32 // scratch: canonically reduced flat gradient
-	steps          int64
-	stats          CommStats
-	lastStep       CommStats
-	tiers          TierStats // per-fabric split of stats (hierarchical runs only)
-	lastTiers      TierStats // per-fabric split of lastStep
-	overlap        OverlapStats
-	lastOverlap    OverlapStats
-	membership     MembershipStats
-	lastMembership MembershipStats
-	profile        ProfileStats // cumulative phase profile (Config.Profile only)
-	lastProfile    ProfileStats // phase profile of the most recent step
-	profActive     bool         // true once construction is done: the profile covers training steps, not setup
-	lossScale      float32      // multiplier applied to dL/dy before Backward (0 or 1: off)
-	closed         bool
+	reduced    []float32 // scratch: reduced flat vector (gradient, or averaged weights)
+	steps      int64
+	total      ledger  // run totals, the construction broadcast included
+	last       ledger  // the counters of the most recent training step
+	profActive bool    // true once construction is done: the profile covers training steps, not setup
+	profiling  bool    // a profile window is open (nested windows fold into it)
+	lossScale  float32 // multiplier applied to dL/dy before Backward (0 or 1: off)
+	closed     bool
+}
+
+// ledger is one record of every counter the engine keeps. The engine holds
+// two: the run total and the most recent step; file writes each event into
+// both.
+type ledger struct {
+	comm       CommStats
+	tiers      TierStats // per-fabric split of comm (hierarchical runs only)
+	overlap    OverlapStats
+	membership MembershipStats
+	profile    ProfileStats // phase profile (Config.Profile only)
+	local      LocalSGDStats
+}
+
+// file applies one accounting event to the run total and to the step.
+func (e *Engine) file(event func(l *ledger)) {
+	event(&e.total)
+	event(&e.last)
 }
 
 // SetLossScale sets the factor every worker multiplies the loss gradient by
@@ -231,7 +240,6 @@ type job struct {
 	spans  [][2]int // row spans, indexed by slot
 	slots  []int    // which spans this worker owns
 	lr     float64  // learning rate of a local optimizer step (jobLocal)
-	train  bool
 }
 
 // NewEngine builds an engine over the given replicas (one per worker; at
@@ -349,7 +357,7 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 		// smaller engine it is bit-identical to.
 		e.shards = e.world
 	}
-	e.membership.StepsAtWorld = make([]int64, len(replicas)+1)
+	e.total.membership.StepsAtWorld = make([]int64, len(replicas)+1)
 	if h := cfg.Topology; h != nil {
 		e.nodes = make([][]int, h.Nodes)
 		for n := range e.nodes {
@@ -484,39 +492,39 @@ func (e *Engine) Master() *nn.Network { return e.replicas[0] }
 func (e *Engine) Steps() int64 { return e.steps }
 
 // Stats returns the cumulative communication counters.
-func (e *Engine) Stats() CommStats { return e.stats }
+func (e *Engine) Stats() CommStats { return e.total.comm }
 
 // StepStats returns the counters of the most recent training step
 // (ComputeGradient plus any BroadcastWeights since).
-func (e *Engine) StepStats() CommStats { return e.lastStep }
+func (e *Engine) StepStats() CommStats { return e.last.comm }
 
 // TierStats returns the cumulative counters split by fabric tier. It is
 // zero unless Config.Topology arranged the workers hierarchically, in which
 // case TierStats().Total() equals Stats().
-func (e *Engine) TierStats() TierStats { return e.tiers }
+func (e *Engine) TierStats() TierStats { return e.total.tiers }
 
 // StepTierStats returns the per-tier counters of the most recent training
 // step, the hierarchical split of StepStats.
-func (e *Engine) StepTierStats() TierStats { return e.lastTiers }
+func (e *Engine) StepTierStats() TierStats { return e.last.tiers }
 
 // OverlapStats returns the cumulative hidden/exposed split of the counters:
 // OverlapStats().Rounds() == Stats().Steps and OverlapStats().TotalBytes()
 // == Stats().Bytes always. Nothing is hidden unless Config.Overlap is set.
-func (e *Engine) OverlapStats() OverlapStats { return e.overlap }
+func (e *Engine) OverlapStats() OverlapStats { return e.total.overlap }
 
 // StepOverlapStats returns the hidden/exposed split of the most recent
 // training step, the overlap view of StepStats.
-func (e *Engine) StepOverlapStats() OverlapStats { return e.lastOverlap }
+func (e *Engine) StepOverlapStats() OverlapStats { return e.last.overlap }
 
 // Profile returns the cumulative phase profile: hot-loop wall time split
 // into gemm/im2col/reduce/codec/other buckets that sum exactly to the
 // measured wall time. Zero unless Config.Profile is set.
-func (e *Engine) Profile() ProfileStats { return e.profile }
+func (e *Engine) Profile() ProfileStats { return e.total.profile }
 
 // StepProfile returns the phase profile of the most recent training step
 // (ComputeGradient plus any BroadcastWeights since), the profiled view of
 // StepStats.
-func (e *Engine) StepProfile() ProfileStats { return e.lastProfile }
+func (e *Engine) StepProfile() ProfileStats { return e.last.profile }
 
 // Close shuts down the worker goroutines. The engine must not be used
 // afterwards; Close is idempotent.
@@ -545,22 +553,21 @@ func (e *Engine) Close() {
 	}
 }
 
-// record accounts one schedule into the cumulative, per-step and overlap
-// counters; hidden files the schedule's rounds and bytes under the
-// hidden side of the overlap split.
+// record accounts one schedule into the comm and overlap counters; hidden
+// files the schedule's rounds and bytes under the hidden side of the
+// overlap split.
 func (e *Engine) record(s CommStats, hidden bool) {
-	e.stats.Add(s)
-	e.lastStep.Add(s)
-	e.overlap.add(s, hidden)
-	e.lastOverlap.add(s, hidden)
+	e.file(func(l *ledger) {
+		l.comm.Add(s)
+		l.overlap.add(s, hidden)
+	})
 }
 
 // recordTiers accounts a per-tier schedule into the tier counters and its
 // aggregate into the flat counters, keeping Stats() == TierStats().Total()
 // for hierarchical runs.
 func (e *Engine) recordTiers(t TierStats, hidden bool) {
-	e.tiers.Add(t)
-	e.lastTiers.Add(t)
+	e.file(func(l *ledger) { l.tiers.Add(t) })
 	e.record(t.Total(), hidden)
 }
 
@@ -600,20 +607,22 @@ func (e *Engine) recordBroadcast(payloadBytes int64) {
 // startWorker gives worker w a fresh job channel and a goroutine draining
 // it — at construction for the initial members, and again when an evicted
 // (or never-started) worker joins the collective. The old goroutine, if
-// any, exited when its channel was closed by evict.
+// any, exited when its channel was closed by evict; the channel is handed
+// to the goroutine rather than read back from e.jobs, which a rejoin
+// overwrites while the old goroutine may still be draining.
 func (e *Engine) startWorker(w int) {
 	e.jobs[w] = make(chan job)
 	e.started[w] = true
 	e.wg.Add(1)
-	go e.worker(w)
+	go e.worker(w, e.jobs[w])
 }
 
 // worker is the lockstep loop of one persistent worker goroutine.
-func (e *Engine) worker(w int) {
+func (e *Engine) worker(w int, jobs <-chan job) {
 	defer e.wg.Done()
 	net := e.replicas[w]
 	loss := &nn.SoftmaxCrossEntropy{}
-	for j := range e.jobs[w] {
+	for j := range jobs {
 		e.done <- e.run(w, net, loss, j)
 	}
 }
@@ -628,7 +637,7 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 		}
 	}()
 	switch j.kind {
-	case jobGrad:
+	case jobGrad, jobLocal:
 		for _, slot := range j.slots {
 			lo, hi := j.spans[slot][0], j.spans[slot][1]
 			if lo == hi {
@@ -649,13 +658,20 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 			}
 			if e.cfg.Overlap {
 				// gradReady flattens per parameter as Backward lands
-				// them, feeding the overlap scheduler.
+				// them, feeding the overlap scheduler (a local step has
+				// no bucket countdown to satisfy; it uses the flattening
+				// only).
 				e.curSlot[w] = slot
 				net.Backward(dl)
 			} else {
 				net.Backward(dl)
-				flatten(e.params[w], e.grads[slot])
+				flatten(e.params[w], grad, e.grads[slot])
 			}
+		}
+		if j.kind == jobLocal {
+			// Local SGD (Config.SyncEvery): the gradient stays on the
+			// worker, which steps its own optimizer on it.
+			e.localReduceStep(w, j)
 		}
 	case jobEval:
 		correct := 0
@@ -677,39 +693,6 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 		if w != 0 {
 			net.CopyWeightsFrom(e.replicas[0])
 		}
-	case jobLocal:
-		// One local SGD step (Config.SyncEvery): the same per-shard
-		// forward/backward as jobGrad, but the gradient stays on the
-		// worker — it is reduced over the worker's own shards only and
-		// fed straight into the worker's local optimizer. No collective
-		// runs until the window's sync boundary averages the weights.
-		for _, slot := range j.slots {
-			lo, hi := j.spans[slot][0], j.spans[slot][1]
-			if lo == hi {
-				continue
-			}
-			x, labels := sliceRows(j.x, j.labels, lo, hi)
-			net.ZeroGrad()
-			out := net.Forward(x, true)
-			e.losses[slot] = loss.Forward(out, labels)
-			dl := loss.Backward()
-			if s := e.lossScale; s != 0 && s != 1 {
-				for i := range dl.Data {
-					dl.Data[i] *= s
-				}
-			}
-			if e.cfg.Overlap {
-				// The gradient-notify hook still flattens per parameter
-				// as Backward lands them — there is no bucket countdown
-				// to satisfy in local mode, the flattening is all we use.
-				e.curSlot[w] = slot
-				net.Backward(dl)
-			} else {
-				net.Backward(dl)
-				flatten(e.params[w], e.grads[slot])
-			}
-		}
-		e.localReduceStep(w, j)
 	}
 	return nil
 }
@@ -722,12 +705,25 @@ func sliceRows(x *tensor.Tensor, labels []int, lo, hi int) (*tensor.Tensor, []in
 	return tensor.FromSlice(x.Data[lo*rowLen:hi*rowLen], shape...), labels[lo:hi]
 }
 
-// flatten copies every parameter gradient into one flat vector.
-func flatten(params []*nn.Param, dst []float32) {
+// grad and weight select which tensor of a parameter flatten and scatter
+// move.
+func grad(p *nn.Param) []float32   { return p.G.Data }
+func weight(p *nn.Param) []float32 { return p.W.Data }
+
+// flatten copies one tensor of every parameter into one flat vector.
+func flatten(params []*nn.Param, of func(*nn.Param) []float32, dst []float32) {
 	off := 0
 	for _, p := range params {
-		copy(dst[off:off+p.Numel()], p.G.Data)
-		off += p.Numel()
+		off += copy(dst[off:], of(p))
+	}
+}
+
+// scatter copies a flat vector back into one tensor of every parameter, the
+// inverse of flatten.
+func scatter(src []float32, params []*nn.Param, of func(*nn.Param) []float32) {
+	off := 0
+	for _, p := range params {
+		off += copy(of(p), src[off:])
 	}
 }
 
@@ -751,6 +747,117 @@ func (e *Engine) dispatch(workers []int, mk func(w int) job) error {
 	return first
 }
 
+// runStep is the skeleton both trainer-facing steps share. It checks the
+// batch, surfaces a dead worker, opens a fresh per-step ledger, admits the
+// joiners the fault plan schedules (when admit is set — the step opens a
+// membership epoch), splits the batch into the engine's logical shards, and
+// runs body inside the step's profile window: body gets the shard spans, the
+// non-empty (live) shards with their batch-mean weights, and the workers
+// that can answer this step. It then files the step under the world size it
+// ran at, evicts the workers whose recovery failed too often (when evict is
+// set — the step closes a membership epoch), and returns the batch-mean
+// loss.
+func (e *Engine) runStep(op string, x *tensor.Tensor, labels []int, admit, evict bool,
+	body func(spans [][2]int, live []int, weights []float64, active []int) error) (float64, error) {
+	b := x.Shape[0]
+	if b == 0 {
+		panic(fmt.Sprintf("dist: %s on an empty batch", op))
+	}
+	if len(labels) != b {
+		panic(fmt.Sprintf("dist: %d labels for batch of %d", len(labels), b))
+	}
+	if err := e.checkDead(e.steps); err != nil {
+		return 0, err
+	}
+	e.last = ledger{membership: MembershipStats{StepsAtWorld: make([]int64, len(e.replicas)+1)}}
+	// Membership epoch boundary (join half): workers the plan schedules to
+	// join enter before the batch is sharded, so the step itself runs — and
+	// is accounted — at the grown world size, warm-started from the
+	// admission broadcast.
+	if admit {
+		if err := e.admitJoins(); err != nil {
+			return 0, err
+		}
+	}
+	spans := data.Spans(b, e.shards)
+	all := make([]int, len(spans))
+	for s := range all {
+		all[s] = s
+	}
+	live, weights := shardWeights(spans, all)
+	// The shard slots rebalance over the workers that can answer this step:
+	// the live fleet minus any worker the fault plan holds permanently dead
+	// (its shards are recomputed by survivors, the failed recovery
+	// injectFaults accounts).
+	active := e.activeIDs(e.steps)
+	if err := e.profiled(func() error { return body(spans, live, weights, active) }); err != nil {
+		return 0, err
+	}
+	world := e.world // the step is filed at the world size it executed at
+	e.file(func(l *ledger) { l.membership.StepsAtWorld[world]++ })
+	e.steps++
+	// Membership epoch boundary (eviction half): evict workers whose
+	// recovery has failed Elastic.EvictAfter consecutive steps, rebalance,
+	// resynchronize.
+	if evict {
+		if err := e.evictDead(); err != nil {
+			return 0, err
+		}
+	}
+	var loss float64
+	for i, s := range live {
+		loss += weights[i] * e.losses[s]
+	}
+	return loss, nil
+}
+
+// shardWeights returns the non-empty shards among slots and each one's share
+// of the rows they hold together: the sample weights of a reduction over
+// those shards.
+func shardWeights(spans [][2]int, slots []int) (live []int, weights []float64) {
+	rows := 0
+	for _, s := range slots {
+		if n := spans[s][1] - spans[s][0]; n > 0 {
+			rows += n
+			live = append(live, s)
+		}
+	}
+	for _, s := range live {
+		weights = append(weights, float64(spans[s][1]-spans[s][0])/float64(rows))
+	}
+	return live, weights
+}
+
+// dispatchShards sends every active worker the shard slots it owns of the
+// batch job j and waits for the lockstep barrier.
+func (e *Engine) dispatchShards(j job, active []int) error {
+	slots := e.slotOwners(active)
+	return e.dispatch(active, func(w int) job {
+		j.slots = slots[w]
+		return j
+	})
+}
+
+// profiled runs body as one profile window and files its phase split into
+// the ledger (Config.Profile only). A window opened inside another — the
+// weight broadcast that closes a local-SGD window — folds into the outer
+// one, so no instant is filed twice.
+func (e *Engine) profiled(body func() error) error {
+	if !e.cfg.Profile || !e.profActive || e.profiling {
+		return body()
+	}
+	e.profiling = true
+	base, start := kernel.ProfileSnapshot()
+	err := body()
+	e.profiling = false
+	if err != nil {
+		return err
+	}
+	d := profileDelta(base, start)
+	e.file(func(l *ledger) { l.profile.Add(d) })
+	return nil
+}
+
 // ComputeGradient splits the global batch x ([B, ...] with len(labels) == B)
 // into the engine's logical shards, runs forward/backward on every shard
 // across the worker replicas in lockstep, and allreduces the shard
@@ -763,207 +870,143 @@ func (e *Engine) dispatch(workers []int, mk func(w int) job) error {
 // identical weights (NewEngine and BroadcastWeights guarantee this in the
 // standard loop).
 func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error) {
-	b := x.Shape[0]
-	if b == 0 {
-		panic("dist: ComputeGradient on an empty batch")
-	}
-	if len(labels) != b {
-		panic(fmt.Sprintf("dist: %d labels for batch of %d", len(labels), b))
-	}
-	if err := e.checkDead(e.steps); err != nil {
-		return 0, err
-	}
-	e.lastStep = CommStats{}
-	e.lastTiers = TierStats{}
-	e.lastOverlap = OverlapStats{}
-	e.lastMembership = MembershipStats{StepsAtWorld: make([]int64, len(e.replicas)+1)}
-	if e.cfg.Profile && e.profActive {
-		e.lastProfile = ProfileStats{}
-	}
-	// Membership epoch boundary (join half): workers the plan schedules to
-	// join at this step enter before the batch is sharded, so the step
-	// itself runs — and is accounted — at the grown world size, warm-started
-	// from the admission broadcast.
-	if err := e.admitJoins(); err != nil {
-		return 0, err
-	}
-	spans := data.Spans(b, e.shards)
-	var profBase [kernel.NumPhases]int64
-	var profStart int64
-	if e.cfg.Profile && e.profActive {
-		profBase, profStart = kernel.ProfileSnapshot()
-	}
-	weights, live := shardWeights(spans, b)
-
-	// The shard slots rebalance over the workers that can answer this
-	// step: the live fleet minus any worker the fault plan holds
-	// permanently dead (its shards are recomputed by survivors, the
-	// failed recovery injectFaults accounts).
-	active := e.activeIDs(e.steps)
-	slots := e.slotOwners(active)
-	mkJob := func(w int) job {
-		return job{kind: jobGrad, x: x, labels: labels, spans: spans, slots: slots[w]}
-	}
-	payloads := make([]int64, len(e.buckets))
-	if e.cfg.Overlap && len(e.buckets) > 0 && len(live) > 0 {
-		for bi := range e.buckets {
-			e.remaining[bi].Store(int64(e.coverCount[bi]) * int64(len(live)))
+	return e.runStep("ComputeGradient", x, labels, true, true, func(spans [][2]int, live []int, weights []float64, active []int) error {
+		srcs := make([][]float32, len(live))
+		for i, s := range live {
+			srcs[i] = e.grads[s]
 		}
-		// The scheduler records schedules for buckets that fire before a
-		// worker failure surfaces; snapshot the counters so a failed step
-		// accounts nothing, matching the sequential path. (A
-		// data-dependent codec's error-feedback state may still have
-		// advanced for those buckets — the aborted step's values are
-		// discarded either way.)
-		statsSnap, tiersSnap, overlapSnap := e.stats, e.tiers, e.overlap
-		stepSnap, stepTiersSnap, stepOverlapSnap := e.lastStep, e.lastTiers, e.lastOverlap
-		// Buffered to the bucket count so gradReady never blocks a
-		// worker, even when the scheduler lags or a step aborts.
-		e.readyCh = make(chan int, len(e.buckets))
-		abort := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for n := 0; n < len(e.buckets); n++ {
-				select {
-				case bi := <-e.readyCh:
-					payloads[bi] = e.reduceBucket(bi, live, weights, e.bucketHidden[bi])
-				case <-abort:
-					return
+		payloads := make([]int64, len(e.buckets))
+		reduce := func(bi int, hidden bool) {
+			payloads[bi] = e.reduceBucket(bi, live, srcs, weights, hidden)
+		}
+		shardJob := job{kind: jobGrad, x: x, labels: labels, spans: spans}
+		if e.cfg.Overlap && len(e.buckets) > 0 && len(live) > 0 {
+			for bi := range e.buckets {
+				e.remaining[bi].Store(int64(e.coverCount[bi]) * int64(len(live)))
+			}
+			// The scheduler records schedules for buckets that fire before
+			// a worker failure surfaces; snapshot the ledgers so a failed
+			// step accounts nothing, matching the sequential path. (A
+			// data-dependent codec's error-feedback state may still have
+			// advanced for those buckets — the aborted step's values are
+			// discarded either way.)
+			total, last := e.total, e.last
+			// Buffered to the bucket count so gradReady never blocks a
+			// worker, even when the scheduler lags or a step aborts.
+			e.readyCh = make(chan int, len(e.buckets))
+			abort := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for n := 0; n < len(e.buckets); n++ {
+					select {
+					case bi := <-e.readyCh:
+						reduce(bi, e.bucketHidden[bi])
+					case <-abort:
+						return
+					}
 				}
+			}()
+			if err := e.dispatchShards(shardJob, active); err != nil {
+				// A failed worker leaves bucket countdowns unresolved; the
+				// scheduler would wait forever without the abort.
+				close(abort)
+				<-done
+				e.total, e.last = total, last
+				return err
 			}
-		}()
-		if err := e.dispatch(active, mkJob); err != nil {
-			// A failed worker leaves bucket countdowns unresolved; the
-			// scheduler would wait forever without the abort.
-			close(abort)
 			<-done
-			e.stats, e.tiers, e.overlap = statsSnap, tiersSnap, overlapSnap
-			e.lastStep, e.lastTiers, e.lastOverlap = stepSnap, stepTiersSnap, stepOverlapSnap
-			return 0, err
+		} else {
+			if err := e.dispatchShards(shardJob, active); err != nil {
+				return err
+			}
+			for bi := range e.buckets {
+				reduce(bi, false)
+			}
 		}
-		<-done
-	} else {
-		if err := e.dispatch(active, mkJob); err != nil {
-			return 0, err
-		}
-		for bi := range e.buckets {
-			payloads[bi] = e.reduceBucket(bi, live, weights, false)
-		}
-	}
-	off := 0
-	for _, p := range e.params[0] {
-		copy(p.G.Data, e.reduced[off:off+p.Numel()])
-		off += p.Numel()
-	}
-	e.injectFaults(payloads)
-	if e.cfg.Profile && e.profActive {
-		d := profileDelta(profBase, profStart)
-		e.lastProfile.Add(d)
-		e.profile.Add(d)
-	}
-	e.noteStep(e.world) // filed at the world size the step executed at
-	e.steps++
-	// Membership epoch boundary: evict workers whose recovery has failed
-	// Elastic.EvictAfter consecutive steps, rebalance, resynchronize.
-	if err := e.evictDead(); err != nil {
-		return 0, err
-	}
-
-	var loss float64
-	for s, span := range spans {
-		if span[0] == span[1] {
-			continue
-		}
-		loss += float64(span[1]-span[0]) / float64(b) * e.losses[s]
-	}
-	return loss, nil
+		scatter(e.reduced, e.params[0], grad)
+		e.injectFaults(payloads)
+		return nil
+	})
 }
 
-// shardWeights returns the batch-mean weight of every shard span and the
-// indices of the non-empty (live) ones.
-func shardWeights(spans [][2]int, b int) (weights []float64, live []int) {
-	weights = make([]float64, len(spans))
-	for s, span := range spans {
-		if span[0] == span[1] {
-			continue
-		}
-		weights[s] = float64(span[1]-span[0]) / float64(b)
-		live = append(live, s)
-	}
-	return weights, live
-}
-
-// reduceBucket reduces one bucket of the shard gradients into e.reduced:
-// the optional codec rounds every live shard's payload through its wire
-// format, the schedule of the configured topology is accounted (hidden when
-// the overlap scheduler fired the bucket inside the backward pass), and the
-// shard-weighted sum — canonical float64 or fixed-tree pairwise float32,
-// per Config.Reduction — lands in the scratch vector. It returns the
-// rounded mean wire payload so fault recovery prices resends consistently.
-// Safe to run concurrently with workers still back-propagating other
-// buckets' coordinates: it only touches [lo, hi).
-func (e *Engine) reduceBucket(bi int, live []int, weights []float64, hidden bool) int64 {
+// reduceBucket reduces one bucket of the source vectors into e.reduced —
+// shard gradients on the gradient path, flattened worker weights on the
+// local-SGD averaging path: the optional codec rounds every source's payload
+// through its wire format (keys name the sources' codec slots), the
+// schedule of the configured topology is accounted (hidden when the overlap
+// scheduler fired the bucket inside the backward pass), and the weighted
+// sum — canonical float64 or fixed-tree pairwise float32, per
+// Config.Reduction — lands in the scratch vector. It returns the rounded
+// mean wire payload so fault recovery prices resends consistently. Safe to
+// run concurrently with workers still back-propagating other buckets'
+// coordinates: it only touches [lo, hi).
+func (e *Engine) reduceBucket(bi int, keys []int, srcs [][]float32, weights []float64, hidden bool) int64 {
 	lo, hi := e.buckets[bi][0], e.buckets[bi][1]
-	wireTotal := 4 * int64(hi-lo) * int64(len(live))
-	if e.cfg.Codec != nil {
-		// Per-payload wire sizes may differ for data-dependent codecs;
-		// the schedule formulas price one uniform payload, so account
-		// the exact summed wire bytes through the schedule's byte
-		// factor (see recordReduce).
-		sp := kernel.StartPhase(kernel.PhaseCodec)
-		wires := make([]int64, len(live))
-		tasks := make([]func(), len(live))
-		for i, s := range live {
-			slot := s*len(e.buckets) + bi
-			seg := e.grads[s][lo:hi]
-			i := i
-			tasks[i] = func() { wires[i] = e.cfg.Codec.Transform(slot, seg) }
-		}
-		par.Do(tasks...)
-		wireTotal = 0
-		for _, w := range wires {
-			wireTotal += w
-		}
-		sp.End()
-	}
-	e.recordReduce(wireTotal, len(live), hidden)
+	wireTotal := e.encode(bi, keys, srcs)
+	e.recordReduce(wireTotal, len(srcs), hidden)
 	sp := kernel.StartPhase(kernel.PhaseReduce)
-	// Gather the live shards' bucket rows once; the summation kernels are
-	// chunking-invariant, so the parallel decomposition below never
-	// affects the reduced bits.
-	srcs := make([][]float32, len(live))
-	for i, s := range live {
-		srcs[i] = e.grads[s][lo:hi]
+	rows := make([][]float32, len(srcs))
+	for i, src := range srcs {
+		rows[i] = src[lo:hi]
 	}
-	if e.cfg.Reduction == PairwiseF32 {
-		scales := make([]float32, len(live))
-		for i, s := range live {
-			scales[i] = float32(weights[s])
-		}
-		par.ForGrain(hi-lo, 2048, func(l, h int) {
-			sub := make([][]float32, len(srcs))
-			for i := range srcs {
-				sub[i] = srcs[i][l:h]
-			}
-			kernel.PairwiseAccumulate(e.reduced[lo+l:lo+h], sub, scales)
-		})
-	} else {
-		scales := make([]float64, len(live))
-		for i, s := range live {
-			scales[i] = weights[s]
-		}
-		par.ForGrain(hi-lo, 2048, func(l, h int) {
-			sub := make([][]float32, len(srcs))
-			for i := range srcs {
-				sub[i] = srcs[i][l:h]
-			}
-			kernel.CanonicalAccumulate(e.reduced[lo+l:lo+h], sub, scales)
-		})
-	}
+	e.accumulate(e.reduced[lo:hi], rows, weights)
 	sp.End()
-	n := int64(len(live))
+	n := int64(len(srcs))
 	return (wireTotal + n/2) / n
+}
+
+// encode rounds one bucket of every source through the codec's wire format
+// in place and returns the summed wire bytes (the raw float32 bytes when no
+// codec is set). Source i owns codec slot keys[i]·buckets + bi — keys are
+// shard indices on the gradient path and worker indices on the averaging
+// path — so stateful codecs (1-bit error feedback) carry one residual per
+// source and bucket. Per-payload wire sizes may differ for data-dependent
+// codecs; the schedule formulas price one uniform payload, so the exact sum
+// is accounted through the schedule's byte factor (see recordReduce).
+func (e *Engine) encode(bi int, keys []int, srcs [][]float32) int64 {
+	lo, hi := e.buckets[bi][0], e.buckets[bi][1]
+	if e.cfg.Codec == nil {
+		return 4 * int64(hi-lo) * int64(len(srcs))
+	}
+	sp := kernel.StartPhase(kernel.PhaseCodec)
+	defer sp.End()
+	wires := make([]int64, len(srcs))
+	tasks := make([]func(), len(srcs))
+	for i, src := range srcs {
+		slot, seg := keys[i]*len(e.buckets)+bi, src[lo:hi]
+		tasks[i] = func() { wires[i] = e.cfg.Codec.Transform(slot, seg) }
+	}
+	par.Do(tasks...)
+	var total int64
+	for _, w := range wires {
+		total += w
+	}
+	return total
+}
+
+// accumulate writes the weighted sum of the sources into dst under the
+// configured reduction arithmetic, split into parallel chunks. Both kernels
+// are chunking-invariant, so the split never affects the reduced bits.
+func (e *Engine) accumulate(dst []float32, srcs [][]float32, weights []float64) {
+	var weights32 []float32
+	if e.cfg.Reduction == PairwiseF32 {
+		weights32 = make([]float32, len(weights))
+		for i, w := range weights {
+			weights32[i] = float32(w)
+		}
+	}
+	par.ForGrain(len(dst), 2048, func(l, h int) {
+		sub := make([][]float32, len(srcs))
+		for i, src := range srcs {
+			sub[i] = src[l:h]
+		}
+		if weights32 != nil {
+			kernel.PairwiseAccumulate(dst[l:h], sub, weights32)
+		} else {
+			kernel.CanonicalAccumulate(dst[l:h], sub, weights)
+		}
+	})
 }
 
 // injectFaults rolls the fault plan for the current step and accounts the
@@ -1043,30 +1086,26 @@ func (e *Engine) injectFaults(payloads []int64) {
 // (architecture drift between replicas) is returned so the training loop
 // can abort the step cleanly instead of crashing the process.
 func (e *Engine) BroadcastWeights() error {
-	var profBase [kernel.NumPhases]int64
-	var profStart int64
-	if e.cfg.Profile && e.profActive {
-		profBase, profStart = kernel.ProfileSnapshot()
-	}
-	if err := e.dispatch(e.activeIDs(e.steps), func(w int) job { return job{kind: jobSync} }); err != nil {
-		return err
-	}
-	for _, bucket := range e.buckets {
-		e.recordBroadcast(4 * int64(bucket[1]-bucket[0]))
-	}
-	if e.cfg.Profile && e.profActive {
-		d := profileDelta(profBase, profStart)
-		e.lastProfile.Add(d)
-		e.profile.Add(d)
-	}
-	return nil
+	return e.profiled(func() error {
+		if err := e.dispatch(e.activeIDs(e.steps), func(int) job { return job{kind: jobSync} }); err != nil {
+			return err
+		}
+		for _, bucket := range e.buckets {
+			e.recordBroadcast(4 * int64(bucket[1]-bucket[0]))
+		}
+		return nil
+	})
 }
 
 // EvalAccuracy computes top-1 accuracy of the master weights over the
 // images, processed data-parallel in chunks of at most batch rows assigned
 // round-robin to the workers. The replicas must be weight-synchronized, so
-// every chunk's logits are identical whichever replica computes them. A
-// worker failure (bad labels, shape drift) is returned as an error.
+// every chunk's logits are identical whichever replica computes them. Under
+// local SGD (Config.SyncEvery > 1) the replicas legitimately disagree
+// between sync boundaries, so evaluation pins one replica — the
+// lowest-numbered active worker — which keeps the metric well-defined and
+// deterministic at any point in the window. A worker failure (bad labels,
+// shape drift) is returned as an error.
 func (e *Engine) EvalAccuracy(images *tensor.Tensor, labels []int, batch int) (float64, error) {
 	n := images.Shape[0]
 	if n == 0 {
@@ -1077,13 +1116,12 @@ func (e *Engine) EvalAccuracy(images *tensor.Tensor, labels []int, batch int) (f
 	}
 	var spans [][2]int
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		spans = append(spans, [2]int{lo, hi})
+		spans = append(spans, [2]int{lo, min(lo+batch, n)})
 	}
 	active := e.activeIDs(e.steps)
+	if e.cfg.SyncEvery > 1 {
+		active = active[:1]
+	}
 	slots := make([][]int, len(e.replicas))
 	for i := range spans {
 		w := active[i%len(active)]

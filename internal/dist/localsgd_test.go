@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -422,5 +423,58 @@ func TestLocalSGDPostEvictionCounters(t *testing.T) {
 	want := comm.ExpectedLocalSGDStats(dist.Ring, 3, h, h, flatLen(e), 0, nil)
 	if got != want {
 		t.Fatalf("post-eviction window %+v, closed form at P=3 %+v", got, want)
+	}
+}
+
+// TestLocalSGDEvalPinsLowestReplica: inside a local-SGD window the replicas
+// hold different weights, so EvalAccuracy grades the lowest active replica
+// (the master) alone on the whole test set instead of farming chunks out
+// to replicas that disagree.
+func TestLocalSGDEvalPinsLowestReplica(t *testing.T) {
+	x, labels, factory := testTask(64)
+	ds := data.GenerateSynth(data.SynthConfig{
+		Classes: 4, TrainSize: 256, TestSize: 64,
+		C: 3, H: 8, W: 8, Noise: 0.25, MaxShift: 1, Seed: 7,
+	})
+	replicas := make([]*nn.Network, 4)
+	steppers := make([]dist.Stepper, len(replicas))
+	for i := range replicas {
+		replicas[i] = factory(1 + uint64(i)*7919)
+		steppers[i] = opt.NewSGD(replicas[i].Params(), opt.SGDConfig{})
+	}
+	e := dist.NewEngine(dist.Config{Algo: dist.Ring, SyncEvery: 4}, replicas)
+	defer e.Close()
+	e.SetLocalSteppers(steppers)
+	for s := 0; s < 2; s++ {
+		if _, err := e.LocalStep(x, labels, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := e.LocalSGD().SyncRounds; r != 0 {
+		t.Fatalf("%d sync rounds after 2 of 4 window steps", r)
+	}
+	w0, w1 := flatWeights(replicas[0]), flatWeights(replicas[1])
+	same := true
+	for i := range w0 {
+		if w0[i] != w1[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("replicas 0 and 1 agree mid-window: nothing for the eval pinning to pick between")
+	}
+	got, err := e.EvalAccuracy(ds.Test.Images, ds.Test.Labels, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	correct := 0
+	for i, p := range e.Master().Forward(ds.Test.Images, false).ArgMaxRows() {
+		if p == ds.Test.Labels[i] {
+			correct++
+		}
+	}
+	if want := float64(correct) / float64(len(ds.Test.Labels)); got != want {
+		t.Fatalf("EvalAccuracy = %v, master replica's top-1 on the test set = %v", got, want)
 	}
 }

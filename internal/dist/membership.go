@@ -263,12 +263,12 @@ func (e *Engine) ShardOwners() []int {
 }
 
 // Membership returns the cumulative elastic-membership accounting.
-func (e *Engine) Membership() MembershipStats { return e.membership }
+func (e *Engine) Membership() MembershipStats { return e.total.membership }
 
 // StepMembership returns the membership accounting of the most recent
 // training step (evictions and rebalances that closed it, plus its world
 // size), the membership view of StepStats.
-func (e *Engine) StepMembership() MembershipStats { return e.lastMembership }
+func (e *Engine) StepMembership() MembershipStats { return e.last.membership }
 
 // liveIDs returns the indices of the workers still in the collective.
 func (e *Engine) liveIDs() []int {
@@ -362,13 +362,6 @@ func (e *Engine) checkDead(step int64) error {
 	return nil
 }
 
-// noteStep files the just-completed step under the world size it executed
-// at, in both the cumulative and per-step membership accounting.
-func (e *Engine) noteStep(world int) {
-	e.membership.StepsAtWorld[world]++
-	e.lastMembership.StepsAtWorld[world]++
-}
-
 // evictDead runs the eviction side of the membership state machine at the
 // end of a step: every worker whose consecutive failed recoveries reached
 // the policy threshold is removed from the collective (worker-index order,
@@ -392,22 +385,37 @@ func (e *Engine) evictDead() error {
 	if !evicted {
 		return nil
 	}
-	// One membership epoch per step: rebuild the shard split and the
-	// overlap cover maps once, then resynchronize the survivors from the
-	// master. The broadcast runs at the new world size and is accounted
-	// (exposed) like any other barrier traffic, with its payload also
-	// filed under RebalancedBytes.
+	// One membership epoch per step: rebuild the shard split once, then
+	// resynchronize the survivors from the master, filing the broadcast's
+	// payload under RebalancedBytes.
+	moved, err := e.resync()
+	e.file(func(l *ledger) { l.membership.RebalancedBytes += moved })
+	return err
+}
+
+// resync closes a membership epoch: a world-tracking shard split follows
+// the new world size, and the master rebroadcasts the weights at it. The
+// broadcast is accounted (exposed) like any other barrier traffic; resync
+// returns the bytes it moved, for the membership ledger.
+func (e *Engine) resync() (int64, error) {
 	if e.shardsTrack {
 		e.shards = e.world
 	}
-	before := e.stats.Bytes
-	if err := e.BroadcastWeights(); err != nil {
-		return err
+	before := e.total.comm.Bytes
+	err := e.BroadcastWeights()
+	return e.total.comm.Bytes - before, err
+}
+
+// shardsOwned counts the logical shards worker w owns when the split is
+// dealt round-robin over members.
+func (e *Engine) shardsOwned(w int, members []int) int64 {
+	var owned int64
+	for s := 0; s < e.shards; s++ {
+		if members[s%len(members)] == w {
+			owned++
+		}
 	}
-	moved := e.stats.Bytes - before
-	e.membership.RebalancedBytes += moved
-	e.lastMembership.RebalancedBytes += moved
-	return nil
+	return owned
 }
 
 // evict removes worker w from the collective: it counts the shards w owned
@@ -415,18 +423,7 @@ func (e *Engine) evictDead() error {
 // goroutine, unhooks its gradient notifications, and drops it from its
 // hierarchy node — a node left empty disappears from the inter tier.
 func (e *Engine) evict(w int) {
-	members := e.liveIDs()
-	var owned int64
-	for s := 0; s < e.shards; s++ {
-		if members[s%len(members)] == w {
-			owned++
-		}
-	}
-	e.membership.Evictions++
-	e.membership.RebalancedShards += owned
-	e.lastMembership.Evictions++
-	e.lastMembership.RebalancedShards += owned
-
+	owned := e.shardsOwned(w, e.liveIDs())
 	e.alive[w] = false
 	e.started[w] = false
 	e.world--
@@ -445,8 +442,11 @@ func (e *Engine) evict(w int) {
 	// The eviction takes effect for the next step — e.steps was already
 	// advanced past the step whose failed recovery crossed the threshold.
 	ev := MembershipEvent{Step: e.steps, Worker: w, Join: false, World: e.world}
-	e.membership.Events = append(e.membership.Events, ev)
-	e.lastMembership.Events = append(e.lastMembership.Events, ev)
+	e.file(func(l *ledger) {
+		l.membership.Evictions++
+		l.membership.RebalancedShards += owned
+		l.membership.Events = append(l.membership.Events, ev)
+	})
 }
 
 // admitJoins runs the admission side of the membership state machine at a
@@ -476,34 +476,21 @@ func (e *Engine) admitJoins() error {
 	if len(joiners) == 0 {
 		return nil
 	}
-	// One membership epoch per step, mirroring evictDead: grow a
-	// world-tracking shard split to the new world, count the shards that
-	// land on the joiners under the new assignment, then resynchronize
-	// the fleet from the master. The broadcast runs at the grown world
-	// size and is accounted (exposed) like any other barrier traffic,
-	// with its payload also filed under JoinedBytes.
-	if e.shardsTrack {
-		e.shards = e.world
-	}
+	// One membership epoch per step, mirroring evictDead: grow the shard
+	// split and warm-start the fleet from the master, filing the
+	// broadcast's payload under JoinedBytes and the shards that land on
+	// the joiners under the new assignment under JoinedShards.
+	moved, err := e.resync()
+	var gained int64
 	active := e.activeIDs(e.steps)
 	for _, w := range joiners {
-		var gained int64
-		for s := 0; s < e.shards; s++ {
-			if active[s%len(active)] == w {
-				gained++
-			}
-		}
-		e.membership.JoinedShards += gained
-		e.lastMembership.JoinedShards += gained
+		gained += e.shardsOwned(w, active)
 	}
-	before := e.stats.Bytes
-	if err := e.BroadcastWeights(); err != nil {
-		return err
-	}
-	moved := e.stats.Bytes - before
-	e.membership.JoinedBytes += moved
-	e.lastMembership.JoinedBytes += moved
-	return nil
+	e.file(func(l *ledger) {
+		l.membership.JoinedShards += gained
+		l.membership.JoinedBytes += moved
+	})
+	return err
 }
 
 // admit brings worker w into the collective at the current step boundary:
@@ -530,9 +517,9 @@ func (e *Engine) admit(w int) {
 			e.nodes[n] = append(members[:i:i], append([]int{w}, members[i:]...)...)
 		}
 	}
-	e.membership.Joins++
-	e.lastMembership.Joins++
 	ev := MembershipEvent{Step: e.steps, Worker: w, Join: true, World: e.world}
-	e.membership.Events = append(e.membership.Events, ev)
-	e.lastMembership.Events = append(e.lastMembership.Events, ev)
+	e.file(func(l *ledger) {
+		l.membership.Joins++
+		l.membership.Events = append(l.membership.Events, ev)
+	})
 }
