@@ -356,6 +356,9 @@ func main() {
 	if *syncEvery < 0 {
 		log.Fatalf("-sync-every %d must be >= 0", *syncEvery)
 	}
+	if *intraSync < 0 {
+		log.Fatalf("-intra-sync-every %d must be >= 0", *intraSync)
+	}
 	if *intraSync > 0 {
 		if topology == nil {
 			log.Fatal("-intra-sync-every needs -per-node (the intra tier averages inside a node)")
@@ -368,6 +371,9 @@ func main() {
 	prec, err := tensor.ParsePrecision(*precision)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if !(*lossScale >= 0) {
+		log.Fatalf("-loss-scale %v must be >= 0", *lossScale)
 	}
 	if *lossScale != 0 && prec != tensor.F16 {
 		log.Fatal("-loss-scale needs -precision f16")
@@ -443,6 +449,9 @@ func main() {
 			}
 			join[w] = step
 		}
+	}
+	if !(*dropRate >= 0 && *dropRate <= 1 && *stallRate >= 0 && *stallRate <= 1) {
+		log.Fatalf("-fault-drop %v and -fault-stall %v are probabilities: want values in [0,1]", *dropRate, *stallRate)
 	}
 	var faults *dist.FaultPlan
 	if *dropRate > 0 || *stallRate > 0 || dead != nil || join != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/models"
 )
@@ -74,7 +73,7 @@ type AutoscalePhase struct {
 	Interval int
 	Devices  int
 	// CapacityImagesSec is the fleet's sustained throughput at this world
-	// size — batch over the phaseCost iteration time, the same pricing
+	// size — batch over the serial iteration time, the same pricing
 	// SimulateElastic uses.
 	CapacityImagesSec float64
 	OfferedImagesSec  float64
@@ -83,10 +82,10 @@ type AutoscalePhase struct {
 	// BacklogSec is the queued work at the end of the interval, in seconds
 	// of current capacity.
 	BacklogSec float64
-	// Comm is the closed-form schedule of one allreduce at this world size:
-	// comm.ExpectedStatsAt(algo, Count, Count−Devices) — evicted negative
-	// when the fleet has grown past its starting size — which the engine's
-	// measured counters must match bit-for-bit at the same world.
+	// Comm is the closed-form schedule of one allreduce at this world size
+	// — flat comm.ExpectedStatsAt (evicted negative at grown worlds), or
+	// the two-tier comm.ExpectedDegradedTierStats total capacity is priced
+	// on — which the engine's measured counters must match bit-for-bit.
 	Comm dist.CommStats
 	USD  float64
 }
@@ -137,7 +136,8 @@ func (e AutoscaleEstimate) SavingsPct() float64 {
 // closed-form Comm schedule is the analytic twin of the counters a real
 // engine at that world records. intervalSec is the trace resolution; batch
 // is the global batch the fleet trains at (capacity scales with world size
-// through the collective's cost, not just the device count).
+// through the collective's cost, not just the device count). It panics if
+// not even one image of spec fits on a device.
 func SimulateAutoscale(c Cluster, spec *models.ModelSpec, batch int, intervalSec float64, trace []TrafficPoint, pol AutoscalePolicy) AutoscaleEstimate {
 	if batch <= 0 || intervalSec <= 0 {
 		panic("cluster: invalid autoscale parameters")
@@ -148,8 +148,11 @@ func SimulateAutoscale(c Cluster, spec *models.ModelSpec, batch int, intervalSec
 	}
 	c.Overlap = false
 	capacityAt := func(world int) float64 {
-		comp, commSec := phaseCost(c, spec, batch, world)
-		return float64(batch) / (comp + commSec)
+		_, micro, compSec, commSec := iterCost(c, spec, batch, world)
+		if micro == 0 {
+			panic(fmt.Sprintf("cluster: %s does not fit on %s even at batch 1", spec.Name, c.Machine.Name))
+		}
+		return float64(batch) / (compSec + commSec)
 	}
 
 	var out AutoscaleEstimate
@@ -186,9 +189,9 @@ func SimulateAutoscale(c Cluster, spec *models.ModelSpec, batch int, intervalSec
 			OfferedImagesSec:  tp.OfferedImagesSec,
 			Utilization:       tp.OfferedImagesSec / capacity,
 			BacklogSec:        backlogImages / capacity,
-			Comm:              comm.ExpectedStatsAt(c.Algo, c.Count, c.Count-world, spec.WeightBytes()),
 			USD:               float64(world) * intervalSec / 3600 * pol.USDPerDeviceHour,
 		}
+		ph.Comm, _ = allreduceStats(c, spec, world)
 		out.Phases = append(out.Phases, ph)
 		out.TotalUSD += ph.USD
 

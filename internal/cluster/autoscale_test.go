@@ -115,6 +115,39 @@ func TestAutoscalePreemptionRecovery(t *testing.T) {
 	}
 }
 
+// TestAutoscaleHierarchicalComm: on a two-tier cluster each phase's Comm is
+// the two-tier schedule its capacity is priced on — the degraded per-tier
+// closed form over the surviving nodes — not a flat collective over the
+// inter-node algorithm.
+func TestAutoscaleHierarchicalComm(t *testing.T) {
+	c := DGXPod(2)
+	spec := models.ResNet50Spec()
+	base := Simulate(c, spec, 1024, 1, imagenetSize)
+	load := 0.75 * base.ImagesSec
+	tr := []TrafficPoint{
+		{OfferedImagesSec: load},
+		{OfferedImagesSec: load, Preemptions: 3},
+		{OfferedImagesSec: load},
+		{OfferedImagesSec: load},
+	}
+	est := SimulateAutoscale(c, spec, 1024, 60, tr, AutoscalePolicy{
+		Min: 1, TargetUtilization: 0.8, USDPerDeviceHour: 3.0,
+	})
+	h, _ := c.Hierarchy()
+	degraded := false
+	for _, ph := range est.Phases {
+		want := comm.ExpectedDegradedTierStats(h, degradedNodeSizes(h.Nodes, h.PerNode, ph.Devices), spec.WeightBytes()).Total()
+		if ph.Comm != want {
+			t.Fatalf("interval %d: phase Comm %+v != two-tier closed form at world %d %+v",
+				ph.Interval, ph.Comm, ph.Devices, want)
+		}
+		degraded = degraded || ph.Devices < c.Count
+	}
+	if !degraded {
+		t.Fatalf("preemption never shrank the fleet (timeline %q) — test is vacuous", est.Timeline)
+	}
+}
+
 // TestAutoscaleQueueDepthPolicy: with TargetUtilization zeroed the backlog
 // SLO alone drives scale-up, and the queue drains once the fleet grows.
 func TestAutoscaleQueueDepthPolicy(t *testing.T) {

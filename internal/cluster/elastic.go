@@ -5,23 +5,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/models"
 )
-
-// ElasticPhase is one constant-world segment of a degrading run: the fleet
-// held Devices live devices for Iterations iterations at the given
-// per-iteration cost.
-type ElasticPhase struct {
-	Devices    int
-	Iterations int64
-	CompSec    float64 // per-iteration computation at this world size
-	CommSec    float64 // per-iteration communication at this world size
-	ImagesSec  float64 // sustained throughput during the phase
-}
-
-// IterSec returns the phase's per-iteration time.
-func (p ElasticPhase) IterSec() float64 { return p.CompSec + p.CommSec }
 
 // ElasticEstimate prices a fixed-epoch run whose fleet shrinks
 // mid-training — the simulator twin of the engine's elastic membership.
@@ -33,7 +18,7 @@ type ElasticEstimate struct {
 	// Healthy is the same configuration priced with the fleet intact.
 	Healthy Estimate
 	// Phases is the world-size timeline, full fleet first.
-	Phases []ElasticPhase
+	Phases []Phase
 	// TotalSec is the degraded run's wall clock; ImagesSec its average
 	// sustained throughput.
 	TotalSec  float64
@@ -78,56 +63,23 @@ func SimulateElastic(c Cluster, spec *models.ModelSpec, batch, epochs, datasetSi
 	sort.Float64s(fracs)
 	total := out.Healthy.Iterations
 
-	// Phase boundaries in iterations; clamp and deduplicate implicitly by
-	// allowing zero-length phases to drop out.
+	// Phase boundaries in whole iterations; zero-length phases drop out.
+	// Every shrunken world fits because the healthy one does: the
+	// per-device fit does not depend on the world size.
 	start, world := int64(0), c.Count
-	addPhase := func(end int64) {
-		if end <= start {
-			return
-		}
-		comp, commSec := phaseCost(c, spec, batch, world)
-		iterSec := comp + commSec
-		out.Phases = append(out.Phases, ElasticPhase{
-			Devices: world, Iterations: end - start,
-			CompSec: comp, CommSec: commSec,
-			ImagesSec: float64(batch) / iterSec,
-		})
-		out.TotalSec += float64(end-start) * iterSec
-		start = end
-	}
 	for _, f := range fracs {
-		if f < 0 {
-			f = 0
+		if end := int64(min(max(f, 0), 1) * float64(total)); end > start {
+			out.Phases = append(out.Phases, Phase{Devices: world, Iterations: end - start})
+			start = end
 		}
-		if f > 1 {
-			f = 1
-		}
-		addPhase(int64(f * float64(total)))
 		world--
 	}
-	addPhase(total)
+	if total > start {
+		out.Phases = append(out.Phases, Phase{Devices: world, Iterations: total - start})
+	}
+	out.TotalSec, _ = pricePhases(c, spec, batch, out.Phases)
 	out.ImagesSec = float64(batch) * float64(total) / out.TotalSec
 	return out
-}
-
-// phaseCost returns the per-iteration compute and (serial) communication
-// cost of the configuration at the given live device count.
-func phaseCost(c Cluster, spec *models.ModelSpec, batch, world int) (compSec, commSec float64) {
-	localBatch := (batch + world - 1) / world
-	micro := localBatch
-	if fit := MaxBatch(c.Machine, spec); micro > fit {
-		micro = fit
-	}
-	prof := c.Machine.ProfileFor(spec.Name)
-	eff := prof.Efficiency(float64(micro))
-	compSec = float64(localBatch) * float64(spec.TrainFLOPsPerImage()) / (c.Machine.PeakFLOPS * eff)
-	if h, hier := c.Hierarchy(); hier {
-		commSec = comm.DegradedHierarchicalAllreduceTime(c.IntraNetwork, c.Network, h,
-			degradedNodeSizes(h.Nodes, h.PerNode, world), spec.WeightBytes())
-	} else {
-		commSec = c.Network.AllreduceTime(c.Algo, world, spec.WeightBytes())
-	}
-	return compSec, commSec
 }
 
 // degradedNodeSizes distributes world live devices over nodes of perNode,

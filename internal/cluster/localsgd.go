@@ -107,33 +107,22 @@ func SimulateLocalSGD(c Cluster, spec *models.ModelSpec, batch, epochs, datasetS
 	e.SyncRounds = comm.LocalSGDSyncRounds(e.Iterations, syncEvery)
 	e.IntraRounds = comm.LocalSGDIntraRounds(e.Iterations, syncEvery, intraSyncEvery)
 
-	e.LocalBatch = (batch + c.Count - 1) / c.Count
-	fit := MaxBatch(c.Machine, spec)
-	if fit == 0 {
+	e.LocalBatch, e.MicroBatch, e.CompSec, e.SyncSec = iterCost(c, spec, batch, c.Count)
+	if e.MicroBatch == 0 {
 		e.OOM = true
 		return e
-	}
-	e.MicroBatch = e.LocalBatch
-	if e.MicroBatch > fit {
-		e.MicroBatch = fit
 	}
 
 	nelems := int(spec.WeightBytes() / 4)
 	if hier {
 		e.TierComm = comm.ExpectedLocalSGDTierStats(h, syncEvery, intraSyncEvery, e.Iterations, nelems, 0, nil)
 		e.Comm = e.TierComm.Total()
-		e.SyncSec = comm.HierarchicalAllreduceTime(c.IntraNetwork, c.Network, h, spec.WeightBytes())
 		if intraSyncEvery > 0 {
 			e.IntraSec = c.IntraNetwork.AllreduceTime(c.IntraAlgo, h.PerNode, spec.WeightBytes())
 		}
 	} else {
 		e.Comm = comm.ExpectedLocalSGDStats(c.Algo, c.Count, syncEvery, e.Iterations, nelems, 0, nil)
-		e.SyncSec = c.Network.AllreduceTime(c.Algo, c.Count, spec.WeightBytes())
 	}
-
-	prof := c.Machine.ProfileFor(spec.Name)
-	eff := prof.Efficiency(float64(e.MicroBatch))
-	e.CompSec = float64(e.LocalBatch) * float64(spec.TrainFLOPsPerImage()) / (c.Machine.PeakFLOPS * eff)
 
 	// Sync rounds are barriers: total time is every step's compute plus
 	// every round's exposed communication, nothing hidden.

@@ -9,36 +9,22 @@ import (
 	"repro/internal/models"
 )
 
-// ProgressivePhase is one constant-resolution segment of a
-// progressive-resolution run: Epochs epochs trained at H×W input.
-type ProgressivePhase struct {
-	H, W       int
-	Epochs     int
-	Iterations int64
-	CompSec    float64 // per-iteration computation at this resolution
-	CommSec    float64 // per-iteration communication (resolution-invariant)
-	ImagesSec  float64 // sustained throughput during the phase
-	// TrainFLOPsPerImage is the forward+backward cost per image at this
-	// phase's resolution — the analytic curve the study plots.
-	TrainFLOPsPerImage int64
-}
-
-// IterSec returns the phase's per-iteration time.
-func (p ProgressivePhase) IterSec() float64 { return p.CompSec + p.CommSec }
-
 // ProgressiveEstimate prices a fixed-epoch run under a resolution schedule
 // — the simulator twin of core.Config.Resolutions, mirroring how
-// ElasticEstimate prices worlds. The epoch budget and iteration count are
-// unchanged by the curriculum; what changes is each phase's per-image
-// compute, so TotalSec versus Fixed.TotalSec is the analytic wall-clock
-// saving of the ENTR hypothesis (assuming the curriculum reaches the same
-// accuracy — the measured study's question).
+// ElasticEstimate prices worlds (both walk one Phase timeline). The epoch
+// budget and iteration count are unchanged by the curriculum; what changes
+// is each phase's per-image compute, so TotalSec versus Fixed.TotalSec is
+// the analytic wall-clock saving of the ENTR hypothesis (assuming the
+// curriculum reaches the same accuracy — the measured study's question).
 type ProgressiveEstimate struct {
 	// Fixed is the same configuration priced at the spec's canonical
 	// resolution for every epoch.
 	Fixed Estimate
-	// Phases is the resolution timeline in schedule order.
-	Phases []ProgressivePhase
+	// Phases is the resolution timeline in schedule order; nil when OOM.
+	Phases []Phase
+	// OOM marks a run where not even one image fits, in some phase at
+	// its resolution or in the fixed baseline; the totals are then zero.
+	OOM bool
 	// TotalSec is the scheduled run's wall clock; ImagesSec its average
 	// sustained throughput.
 	TotalSec  float64
@@ -85,46 +71,33 @@ func SimulateProgressive(c Cluster, spec *models.ModelSpec, batch, epochs, datas
 	c.Overlap = false
 	out := ProgressiveEstimate{Fixed: Simulate(c, spec, batch, epochs, datasetSize)}
 	if out.Fixed.OOM {
+		out.OOM = true
 		return out
-	}
-	phases := sched.PhasesIn(epochs)
-	for _, p := range phases {
-		if got, want := spec.ParamCountAt(p.H, p.W), spec.ParamCount(); got != want {
-			panic(fmt.Sprintf("cluster: %s has %d params at %dx%d but %d at canonical — a resolution schedule needs a GAP-headed (resolution-invariant) model",
-				spec.Name, got, p.H, p.W, want))
-		}
 	}
 	// Phase iteration counts are cumulative-boundary differences so they
 	// sum exactly to Fixed.Iterations regardless of rounding.
 	itersBy := func(epoch int) int64 { return comm.Iterations(epoch, datasetSize, batch) }
-	localBatch := out.Fixed.LocalBatch
-	var rawComm float64
-	if h, hier := c.Hierarchy(); hier {
-		rawComm = comm.HierarchicalAllreduceTime(c.IntraNetwork, c.Network, h, spec.WeightBytes())
-	} else {
-		rawComm = c.Network.AllreduceTime(c.Algo, c.Count, spec.WeightBytes())
+	var phases []Phase
+	for _, p := range sched.PhasesIn(epochs) {
+		if got, want := spec.ParamCountAt(p.H, p.W), spec.ParamCount(); got != want {
+			panic(fmt.Sprintf("cluster: %s has %d params at %dx%d but %d at canonical — a resolution schedule needs a GAP-headed (resolution-invariant) model",
+				spec.Name, got, p.H, p.W, want))
+		}
+		phases = append(phases, Phase{
+			Devices: c.Count, H: p.H, W: p.W, Epochs: p.Epochs(epochs),
+			Iterations: itersBy(p.From+p.Epochs(epochs)) - itersBy(p.From),
+		})
 	}
+	total, oom := pricePhases(c, spec, batch, phases)
+	if oom {
+		out.OOM = true
+		return out
+	}
+	out.Phases, out.TotalSec = phases, total
 	fixedIterFLOPs := float64(batch) * float64(spec.TrainFLOPsPerImage())
 	for _, p := range phases {
-		phaseSpec := spec.At(p.H, p.W)
-		iters := itersBy(p.From+p.Epochs(epochs)) - itersBy(p.From)
-		micro := localBatch
-		if fit := MaxBatch(c.Machine, phaseSpec); micro > fit {
-			micro = fit
-		}
-		prof := c.Machine.ProfileFor(spec.Name)
-		eff := prof.Efficiency(float64(micro))
-		compSec := float64(localBatch) * float64(phaseSpec.TrainFLOPsPerImage()) / (c.Machine.PeakFLOPS * eff)
-		iterSec := compSec + rawComm
-		out.Phases = append(out.Phases, ProgressivePhase{
-			H: p.H, W: p.W, Epochs: p.Epochs(epochs), Iterations: iters,
-			CompSec: compSec, CommSec: rawComm,
-			ImagesSec:          float64(batch) / iterSec,
-			TrainFLOPsPerImage: phaseSpec.TrainFLOPsPerImage(),
-		})
-		out.TotalSec += float64(iters) * iterSec
-		out.TrainFLOPs += float64(iters) * float64(batch) * float64(phaseSpec.TrainFLOPsPerImage())
-		out.FixedTrainFLOPs += float64(iters) * fixedIterFLOPs
+		out.TrainFLOPs += float64(p.Iterations) * float64(batch) * float64(p.TrainFLOPsPerImage)
+		out.FixedTrainFLOPs += float64(p.Iterations) * fixedIterFLOPs
 	}
 	if out.TotalSec > 0 {
 		out.ImagesSec = float64(batch) * float64(out.Fixed.Iterations) / out.TotalSec

@@ -105,3 +105,20 @@ func TestSimulateProgressiveMicroConvNet(t *testing.T) {
 		t.Error("curriculum should be cheaper than fixed")
 	}
 }
+
+// A phase whose resolution leaves no room for even one image is reported as
+// OOM with zero totals, the way Simulate reports a configuration that does
+// not fit — never as an infinite wall clock.
+func TestSimulateProgressiveOOMPhase(t *testing.T) {
+	spec := models.MicroConvNetSpec(models.MicroConfig{Classes: 8, InH: 24, Width: 64})
+	est := SimulateProgressive(KNLCluster(4), spec, 256, 10, 4096, mustSchedule(t, "16384x16384"))
+	if est.Fixed.OOM {
+		t.Fatal("the canonical-resolution baseline must fit — the OOM must come from the phase")
+	}
+	if !est.OOM {
+		t.Fatalf("16384x16384 phase priced without OOM: TotalSec %g, ImagesSec %g", est.TotalSec, est.ImagesSec)
+	}
+	if est.TotalSec != 0 || est.ImagesSec != 0 || est.Phases != nil {
+		t.Fatalf("OOM run left totals %g s, %g img/s, %d phases; want zero", est.TotalSec, est.ImagesSec, len(est.Phases))
+	}
+}

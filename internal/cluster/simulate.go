@@ -196,35 +196,14 @@ func Simulate(c Cluster, spec *models.ModelSpec, batch, epochs, datasetSize int)
 		Cluster: c, Model: spec.Name, Batch: batch, Epochs: epochs,
 		Iterations: comm.Iterations(epochs, datasetSize, batch),
 	}
-	// The largest shard sets the lockstep iteration time, so price
-	// ceil(batch/Count): truncating would silently drop batch mod Count
-	// samples, underpricing compute and overstating throughput whenever
-	// the global batch does not divide the device count. (More devices
-	// than samples degenerates to one image on the busiest devices.)
-	e.LocalBatch = (batch + c.Count - 1) / c.Count
-	fit := MaxBatch(c.Machine, spec)
-	if fit == 0 {
+	var rawComm float64
+	e.LocalBatch, e.MicroBatch, e.CompSec, rawComm = iterCost(c, spec, batch, c.Count)
+	if e.MicroBatch == 0 {
 		e.OOM = true
 		return e
 	}
-	e.MicroBatch = e.LocalBatch
-	if e.MicroBatch > fit {
-		e.MicroBatch = fit // gradient accumulation in micro-batches
-	}
-	var rawComm float64
+	e.Comm, e.TierComm = allreduceStats(c, spec, c.Count)
 	h, hier := c.Hierarchy()
-	if hier {
-		e.TierComm = comm.ExpectedTierStats(h, spec.WeightBytes())
-		e.Comm = e.TierComm.Total()
-		rawComm = comm.HierarchicalAllreduceTime(c.IntraNetwork, c.Network, h, spec.WeightBytes())
-	} else {
-		e.Comm = comm.ExpectedStats(c.Algo, c.Count, spec.WeightBytes())
-		rawComm = c.Network.AllreduceTime(c.Algo, c.Count, spec.WeightBytes())
-	}
-	prof := c.Machine.ProfileFor(spec.Name)
-	eff := prof.Efficiency(float64(e.MicroBatch))
-	flopsPerIter := float64(e.LocalBatch) * float64(spec.TrainFLOPsPerImage())
-	e.CompSec = flopsPerIter / (c.Machine.PeakFLOPS * eff)
 	if c.Overlap {
 		// Bucket-level overlap: pipeline the bucket allreduces against
 		// the backward pass (per fabric for hierarchical clusters) and
@@ -252,6 +231,85 @@ func Simulate(c Cluster, spec *models.ModelSpec, batch, epochs, datasetSize int)
 	e.TotalSec = float64(e.Iterations) * iterSec
 	e.ImagesSec = float64(batch) / iterSec
 	return e
+}
+
+// iterCost prices one lockstep iteration of spec at global batch batch on
+// world live devices of c: t_comp(local) + t_comm(world, |W|). The largest
+// shard sets the pace, so local is ceil(batch/world). micro is the compute
+// batch after memory-driven micro-batching; 0 means not even one image
+// fits, and the zero costs returned with it must not be used. commSec is
+// one serial allreduce, two-tier on hierarchical clusters with devices lost
+// from the last node first (HierarchicalAllreduceTime at full strength).
+func iterCost(c Cluster, spec *models.ModelSpec, batch, world int) (local, micro int, compSec, commSec float64) {
+	local = (batch + world - 1) / world
+	micro = min(local, MaxBatch(c.Machine, spec))
+	if micro == 0 {
+		return local, 0, 0, 0
+	}
+	eff := c.Machine.ProfileFor(spec.Name).Efficiency(float64(micro))
+	compSec = float64(local) * float64(spec.TrainFLOPsPerImage()) / (c.Machine.PeakFLOPS * eff)
+	if h, hier := c.Hierarchy(); hier {
+		commSec = comm.DegradedHierarchicalAllreduceTime(c.IntraNetwork, c.Network, h,
+			degradedNodeSizes(h.Nodes, h.PerNode, world), spec.WeightBytes())
+	} else {
+		commSec = c.Network.AllreduceTime(c.Algo, world, spec.WeightBytes())
+	}
+	return local, micro, compSec, commSec
+}
+
+// allreduceStats returns the closed-form schedule of one gradient allreduce
+// at world live devices — the counters internal/dist records executing the
+// same exchange — and, for hierarchical clusters, its split by fabric tier
+// (zero when flat). It degrades the fleet the way iterCost does.
+func allreduceStats(c Cluster, spec *models.ModelSpec, world int) (dist.CommStats, dist.TierStats) {
+	if h, hier := c.Hierarchy(); hier {
+		t := comm.ExpectedDegradedTierStats(h, degradedNodeSizes(h.Nodes, h.PerNode, world), spec.WeightBytes())
+		return t.Total(), t
+	}
+	return comm.ExpectedStatsAt(c.Algo, c.Count, c.Count-world, spec.WeightBytes()), dist.TierStats{}
+}
+
+// Phase is one constant-cost segment of a priced run: Iterations
+// iterations at Devices live devices, with H×W input (zero H and W mean the
+// spec's own resolution). The segment builders (SimulateElastic by
+// eviction fraction, SimulateProgressive by resolution schedule) set those
+// fields; pricePhases fills the costs.
+type Phase struct {
+	Devices    int
+	H, W       int
+	Epochs     int // epochs the segment covers (resolution phases only)
+	Iterations int64
+	CompSec    float64 // per-iteration computation
+	CommSec    float64 // per-iteration serial communication
+	ImagesSec  float64 // sustained throughput during the phase
+	// TrainFLOPsPerImage is the forward+backward cost per image at the
+	// phase's resolution.
+	TrainFLOPsPerImage int64
+}
+
+// IterSec returns the phase's per-iteration time.
+func (p Phase) IterSec() float64 { return p.CompSec + p.CommSec }
+
+// pricePhases fills every phase's costs through iterCost and returns the
+// summed wall time, or oom (and zero) at the first phase where not even one
+// image fits. Communication is serial; only Simulate models overlap.
+func pricePhases(c Cluster, spec *models.ModelSpec, batch int, phases []Phase) (totalSec float64, oom bool) {
+	for i := range phases {
+		p := &phases[i]
+		phaseSpec := spec
+		if p.H > 0 {
+			phaseSpec = spec.At(p.H, p.W)
+		}
+		_, micro, compSec, commSec := iterCost(c, phaseSpec, batch, p.Devices)
+		if micro == 0 {
+			return 0, true
+		}
+		p.CompSec, p.CommSec = compSec, commSec
+		p.ImagesSec = float64(batch) / p.IterSec()
+		p.TrainFLOPsPerImage = phaseSpec.TrainFLOPsPerImage()
+		totalSec += float64(p.Iterations) * p.IterSec()
+	}
+	return totalSec, false
 }
 
 // ThroughputPoint is one x/y pair of Figure 3: per-device batch size versus

@@ -314,8 +314,8 @@ type Result struct {
 }
 
 // ConfigError is the typed error Train returns for a Config field whose
-// value has no meaning (a negative epoch budget, batch, worker count or
-// bucket size), before any replica is built.
+// value has no meaning (a negative epoch budget, batch, worker count,
+// bucket size or synchronization period), before any replica is built.
 type ConfigError struct {
 	Field string
 	Value int
@@ -336,6 +336,10 @@ func (c Config) validate() error {
 		return &ConfigError{"Workers", c.Workers}
 	case c.Bucket < 0:
 		return &ConfigError{"Bucket", c.Bucket}
+	case c.SyncEvery < 0:
+		return &ConfigError{"SyncEvery", c.SyncEvery}
+	case c.IntraSyncEvery < 0:
+		return &ConfigError{"IntraSyncEvery", c.IntraSyncEvery}
 	}
 	return nil
 }

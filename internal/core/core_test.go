@@ -61,6 +61,8 @@ func TestTrainRejectsMeaninglessConfig(t *testing.T) {
 		{"Batch", Config{Batch: -32}, -32},
 		{"Workers", Config{Workers: -2}, -2},
 		{"Bucket", Config{Bucket: -1}, -1},
+		{"SyncEvery", Config{SyncEvery: -2}, -2},
+		{"IntraSyncEvery", Config{IntraSyncEvery: -1}, -1},
 	} {
 		built := 0
 		tc.cfg.Model = func(seed uint64) *nn.Network {
